@@ -8,10 +8,13 @@ Run:  python examples/quickstart.py
 """
 
 from repro import SimbaWorld
+from repro.obs import TraceSink, render_span_tree
 
 
 def main() -> None:
     world = SimbaWorld(seed=7)
+    # Record every hop of every alert as causal spans.
+    sink = TraceSink().install(world.env)
 
     # The human: IM identity, phone, mailbox.  Present at her machine.
     alice = world.create_user("alice", present=True)
@@ -47,13 +50,8 @@ def main() -> None:
           f"{[(e.kind, round(e.at, 2)) for e in buddy.journal.events]}")
 
     # The full hop-by-hop journey of the alert:
-    from repro.metrics import render_trace, trace_alert
-
-    print("\n--- alert trace ---")
-    print(render_trace(
-        trace_alert(alert.alert_id, source=portal, deployment=buddy,
-                    user=alice)
-    ))
+    print()
+    print(render_span_tree(sink.spans(alert.alert_id), title=alert.alert_id))
     assert alice.receipts, "the alert should have arrived"
 
 

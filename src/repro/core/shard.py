@@ -182,10 +182,6 @@ class ConsistentHashRing:
             self.shards, vnodes=self.vnodes, salt=self.salt, overrides=merged
         )
 
-    def population_of(self, names: Sequence[str], shard: int) -> list[str]:
-        """The subset of ``names`` owned by ``shard``, in given order."""
-        return [name for name in names if self.owner(name) == shard]
-
     def __repr__(self) -> str:
         return (
             f"ConsistentHashRing(shards={self.shards}, vnodes={self.vnodes},"

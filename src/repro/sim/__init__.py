@@ -33,14 +33,7 @@ from repro.sim.kernel import Environment
 from repro.sim.pool import EventPool
 from repro.sim.process import Process
 from repro.sim.rng import RngRegistry
-from repro.sim.scheduler import (
-    DEFAULT_SCHEDULER,
-    SCHEDULER_ENV_VAR,
-    HeapScheduler,
-    Scheduler,
-    TimerScope,
-    make_scheduler,
-)
+from repro.sim.scheduler import TimerScope
 from repro.sim.stores import Store
 from repro.sim.wheel import WheelScheduler
 
@@ -48,25 +41,20 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "DAY",
-    "DEFAULT_SCHEDULER",
     "Environment",
     "Event",
     "EventPool",
     "HOUR",
-    "HeapScheduler",
     "Interrupt",
     "MINUTE",
     "Process",
     "RngRegistry",
-    "SCHEDULER_ENV_VAR",
     "SECOND",
-    "Scheduler",
     "Store",
     "TimerScope",
     "Timeout",
     "WEEK",
     "WheelScheduler",
     "format_time",
-    "make_scheduler",
     "time_of_day",
 ]

@@ -1,25 +1,20 @@
-"""The discrete-event simulation environment (clock + pluggable scheduler).
+"""The discrete-event simulation environment (clock + timing-wheel scheduler).
 
 The environment is the public face of the kernel; the event containers
-live behind the :class:`~repro.sim.scheduler.Scheduler` interface with
-two backends sharing one contract:
+live in its scheduler, :class:`~repro.sim.wheel.WheelScheduler`: a
+hierarchical timing wheel with O(1) schedule/cancel for the short timers
+that dominate alert delivery, and cascading levels for day-scale
+horizons.
 
-- ``heap`` (:class:`~repro.sim.scheduler.HeapScheduler`): binary heap +
-  zero-delay deque, the reference implementation;
-- ``wheel`` (:class:`~repro.sim.wheel.WheelScheduler`): hierarchical
-  timing wheel with O(1) schedule/cancel for the short timers that
-  dominate alert delivery, cascading levels for day-scale horizons.
-
-Both produce the same merged ``(time, sequence)`` pop order — events
-scheduled for the same instant are processed in scheduling order — so
-every run is bit-for-bit deterministic and journals are byte-identical
-across backends.  Pick a backend per environment with
-``Environment(scheduler="heap"|"wheel")`` or process-wide with the
-``REPRO_SCHEDULER`` environment variable (default: wheel).
+Events pop in ``(time, sequence)`` order — events scheduled for the same
+instant are processed in scheduling order — so every run is bit-for-bit
+deterministic.  ``tests/reference_kernel.py`` freezes that contract as a
+single-heap kernel, and the equivalence suite replays randomized programs
+through both.
 
 Cancelled timers (see :meth:`~repro.sim.events.Timeout.cancel`) stay
 queued as *tombstones* skipped lazily and compacted in one O(n) pass
-when they dominate; lazy deletion never reorders live entries.  Each
+when they dominate; lazy deletion never reorders live entries.  The
 scheduler also recycles provably unreferenced ``Event``/``Timeout``
 objects through an :class:`~repro.sim.pool.EventPool`, which is why the
 hot factories (``env.timeout``, ``env.event``) and ``env.schedule`` are
@@ -34,7 +29,8 @@ from typing import Any, Generator, Iterable, Optional
 from repro.errors import SimulationError, StopSimulation
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Process
-from repro.sim.scheduler import Scheduler, TimerScope, make_scheduler
+from repro.sim.scheduler import TimerScope
+from repro.sim.wheel import WheelScheduler
 
 _INFINITY = float("inf")
 
@@ -54,12 +50,8 @@ class Environment:
         "schedule", "timeout", "event", "_note_cancelled",
     )
 
-    def __init__(
-        self,
-        initial_time: float = 0.0,
-        scheduler: Optional[str] = None,
-    ):
-        sched = make_scheduler(self, scheduler, float(initial_time))
+    def __init__(self, initial_time: float = 0.0):
+        sched = WheelScheduler(self, float(initial_time))
         self._scheduler = sched
         #: Structured-tracing hook (:class:`repro.obs.TraceSink`), None when
         #: tracing is off.  Instrumentation sites read this once per probe
@@ -82,9 +74,8 @@ class Environment:
         return self._active_process
 
     @property
-    def scheduler(self) -> Scheduler:
-        """The scheduling backend (diagnostics: ``.name``, ``.pool``,
-        ``.live_entries()``)."""
+    def scheduler(self) -> WheelScheduler:
+        """The scheduler (diagnostics: ``.pool``, ``.live_entries()``)."""
         return self._scheduler
 
     @property

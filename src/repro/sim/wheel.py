@@ -1,4 +1,4 @@
-"""Hierarchical timing-wheel scheduler backend.
+"""The kernel's scheduler: a hierarchical timing wheel.
 
 The delivery stack's timers are overwhelmingly *short*: ack guards of
 seconds to minutes, watchdog probes, channel transit delays.  A binary
@@ -35,18 +35,24 @@ A per-level occupancy bitmask (one int, bit k = slot k non-empty) turns
 Determinism
 -----------
 
-The wheel must reproduce the heap backend's merged ``(time, sequence)``
-pop order bit-for-bit.  Slot buckets are unordered, so a slot is never
-consumed directly: when ``_due`` — a small heap ordered by the exact
-``(time, sequence)`` key — runs dry, :meth:`_refill_due` *stages* the
-cursor's whole remaining level-0 page into it and retires the page (the
-cursor jumps to the page end).  The invariant chain
+Every entry is a ``(time, sequence, event)`` tuple sharing one
+monotonically increasing sequence counter, and the wheel must pop them
+in exactly that merged order: earliest time first, ties at equal time in
+scheduling order.  That is the order of the frozen single-heap reference
+kernel (``tests/reference_kernel.py``), which the equivalence suite
+replays against this one.  The tick only decides *how* the next entry is
+found, never *which* entry is next.
+
+Slot buckets are unordered, so a slot is never consumed directly: when
+``_due`` — a small heap ordered by the exact ``(time, sequence)`` key —
+runs dry, :meth:`_refill_due` *stages* the cursor's whole remaining
+level-0 page into it and retires the page (the cursor jumps to the page
+end).  The invariant chain
 
     due entries < wheel entries <= overflow entries   (by (time, seq))
 
 makes the pop decision a two-way comparison between the zero-delay FIFO
-head and the due head, exactly like heap-vs-FIFO in the reference
-backend.  Four rules keep the chain intact:
+head and the due head.  Four rules keep the chain intact:
 
 - *Page-wise staging*: staging takes every occupied slot of the current
   page at once, so wheel entries always live in pages strictly after
@@ -57,8 +63,8 @@ backend.  Four rules keep the chain intact:
   already staged) is heappushed straight into ``_due``, which orders it
   exactly among whatever is staged.  Because the cursor retires a full
   page at a time, this is the **dominant path** in steady short-timer
-  churn — one exact-ordered C ``heappush``, the same cost as the
-  reference heap — while far-future schedules still get O(1) slot
+  churn — one exact-ordered C ``heappush``, the same cost as a
+  plain binary heap — while far-future schedules still get O(1) slot
   placement and never touch the heap until their page is current.
 - *Cascades*: when a level-0 page is staged, the level-1 slot owning
   the *next* page is scattered into level 0 (and level-2 slots into
@@ -73,16 +79,27 @@ backend.  Four rules keep the chain intact:
 ``_due`` keeps a **stable list identity** (refills use ``due[:] = ...``)
 because the dispatch loop holds a local alias across callbacks, and a
 callback may cancel enough timers to trigger compaction mid-dispatch.
+
+Pooling
+-------
+
+The scheduler owns an :class:`~repro.sim.pool.EventPool`: the dispatch
+loop recycles ``Event``/``Timeout`` objects whose refcount proves no one
+else holds them, and the ``timeout()``/``event()`` factories reuse them.
+At farm scale this removes the dominant allocation cost per delivered
+alert.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from heapq import heapify, heappop, heappush
 from sys import getrefcount
 from typing import TYPE_CHECKING, Any, Optional
 
-from repro.sim.events import Event, Timeout
-from repro.sim.scheduler import Scheduler
+from repro.errors import SimulationError
+from repro.sim.events import Event, Timeout, _PENDING
+from repro.sim.pool import EventPool
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.sim.kernel import Environment
@@ -102,18 +119,39 @@ LEVELS = 3
 WHEEL_SPAN_TICKS = SLOTS ** LEVELS
 
 
-class WheelScheduler(Scheduler):
-    """O(1)-schedule backend: 3-level, 256-slot hierarchical wheel."""
+class WheelScheduler:
+    """The kernel's scheduler: 3-level, 256-slot hierarchical wheel.
 
-    name = "wheel"
+    Owns the clock (``_now``), the zero-delay FIFO, the sequence counter,
+    tombstone accounting and the event pool, plus the wheel levels that
+    hold delayed entries.  The hot methods (``schedule``, ``timeout``,
+    ``event``, ``note_cancelled``) are bound straight onto the
+    Environment instance, so ``env.schedule`` *is* ``scheduler.schedule``.
+    """
 
     __slots__ = (
+        "env", "_now", "_immediate", "_sequence", "_dead", "pool",
+        "_free_timeouts", "_free_events",
         "_lv0", "_lv1", "_lv2", "_occ0", "_occ1", "_occ2",
         "_due", "_overflow", "_cur", "_cur_time", "_wheel_count",
     )
 
     def __init__(self, env: "Environment", initial_time: float = 0.0):
-        super().__init__(env, initial_time)
+        self.env = env
+        self._now = float(initial_time)
+        #: Zero-delay FIFO: every succeed()/fail()/resume lands here.
+        #: Entries carry the time they were scheduled at (<= now), so the
+        #: merged "next entry" is the smaller (time, sequence) head of
+        #: this FIFO and ``_due``.
+        self._immediate: deque[tuple[float, int, Event]] = deque()
+        self._sequence = 0
+        #: Tombstoned entries still sitting in some queue.
+        self._dead = 0
+        self.pool = EventPool()
+        # Aliases for the factories: the pool's list identities are
+        # stable for its lifetime, so one attribute load replaces two.
+        self._free_timeouts = self.pool.timeouts
+        self._free_events = self.pool.events
         self._lv0: list[list] = [[] for _ in range(SLOTS)]
         self._lv1: list[list] = [[] for _ in range(SLOTS)]
         self._lv2: list[list] = [[] for _ in range(SLOTS)]
@@ -212,8 +250,8 @@ class WheelScheduler(Scheduler):
                     # Hot case: the deadline lands inside the page being
                     # consumed (staging retired it wholesale), so it
                     # joins the staged heap directly — one exact-ordered
-                    # C heappush, the same cost as the reference
-                    # backend's schedule.  One float compare stands in
+                    # C heappush, the same cost as a plain heap
+                    # schedule.  One float compare stands in
                     # for the straggler index test (see _cur_time).
                     heappush(self._due, (time, seq, timer))
                 else:
@@ -240,6 +278,23 @@ class WheelScheduler(Scheduler):
             self.pool.reused += 1
             return timer
         return Timeout(self.env, delay, value)
+
+    def event(self) -> Event:
+        """Untriggered event, reusing a pooled instance when available.
+
+        Pooled objects are *clean at release* (``_ok`` True, ``_defused``
+        and ``_cancelled`` False — see :class:`~repro.sim.pool.EventPool`),
+        so reacquisition only touches the per-use fields.
+        """
+        free = self._free_events
+        if free:
+            event = free.pop()
+            event._pooled = False
+            event.callbacks = []
+            event._value = _PENDING
+            self.pool.reused += 1
+            return event
+        return Event(self.env)
 
     # -- staging --------------------------------------------------------
 
@@ -542,6 +597,20 @@ class WheelScheduler(Scheduler):
                 return entry
             return None
 
+    def step(self) -> None:
+        """Process exactly one live event (slow path; ``drain`` is hot)."""
+        entry = self._pop_live()
+        if entry is None:
+            raise SimulationError("no events scheduled")
+        self._now = entry[0]
+        event = entry[2]
+        callbacks = event.callbacks
+        event.callbacks = None
+        for callback in callbacks:
+            callback(event)
+        if not event._ok and not event._defused:
+            raise event.value
+
     def live_entries(self) -> list[tuple[float, int, Event]]:
         """Live entries in pop order (diagnostics and tests only)."""
         entries = [e for e in self._immediate if not e[2]._cancelled]
@@ -558,14 +627,22 @@ class WheelScheduler(Scheduler):
         return (len(self._immediate) + len(self._due) + self._wheel_count
                 + len(self._overflow) - self._dead)
 
+    @property
+    def dead_entries(self) -> int:
+        return self._dead
+
     # -- dispatch -------------------------------------------------------
 
     def drain(self, stop_at: float) -> None:
         """Process live entries until the clock would pass ``stop_at``.
 
-        Identical contract to the heap backend's drain; the only change
-        is where the next delayed entry comes from (the staged ``_due``
-        heap, refilled slot by slot).  Beyond-horizon entries are pushed
+        The loop is the kernel's hottest code: containers, pool lists and
+        builtins are cached in locals, and each processed (or discarded)
+        entry whose event is provably unreferenced — ``getrefcount`` sees
+        only the entry tuple, the loop's local and the call argument — is
+        recycled into the free lists.  Delayed entries come from the
+        staged ``_due`` heap, refilled page by page.  Beyond-horizon
+        entries are pushed
         back where they were popped from (``_due`` or the overflow), so
         a later ``run()`` sees the same (time, sequence) keys.
         """

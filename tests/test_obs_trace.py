@@ -1,15 +1,16 @@
 """Unit tests for the tracing substrate: TraceSink, Span, render helpers.
 
-These exercise the sink in isolation against a stub environment (all the
-sink needs is ``.now`` and a ``tracer`` slot) — the end-to-end properties
-(byte-identical journals, stable goldens, oracle integration) live in
-``test_trace_golden.py`` / ``test_trace_oracle.py``.
+Most of these exercise the sink in isolation against a stub environment
+(all the sink needs is ``.now`` and a ``tracer`` slot).  The last section
+follows single alerts through a small live world: the happy path's hops
+in time order and the IM-outage fallback to email.  The farm-scale
+properties (byte-identical journals, stable goldens, oracle integration)
+live in ``test_trace_golden.py`` / ``test_trace_oracle.py``.
 """
 
 import pickle
 
-import pytest
-
+from repro.net import LatencyModel
 from repro.obs import (
     LIFECYCLE_PREFIX,
     Span,
@@ -19,6 +20,8 @@ from repro.obs import (
     render_attribution,
     render_span_tree,
 )
+from repro.sim import MINUTE
+from repro.world import SimbaWorld, WorldConfig
 
 
 class FakeEnv:
@@ -295,3 +298,128 @@ class TestAttribution:
 
     def test_render_attribution_empty(self):
         assert render_attribution({}) == "(no closed spans)"
+
+
+# ---------------------------------------------------------------------------
+# One alert's journey through a live world
+# ---------------------------------------------------------------------------
+
+IM_FIXED = LatencyModel(median=0.4, sigma=0.0, low=0.0, high=10.0)
+
+
+def make_rig():
+    """One user, one MAB and one source, with a TraceSink installed."""
+    world = SimbaWorld(
+        WorldConfig(seed=8, im_latency=IM_FIXED, email_loss=0.0, sms_loss=0.0)
+    )
+    TraceSink().install(world.env)
+    user = world.create_user("alice", present=True)
+    deployment = world.create_buddy(user)
+    deployment.register_user_endpoint(user)
+    deployment.subscribe("News", user, "normal", keywords=["News"])
+    deployment.launch()
+    source = world.create_source("portal")
+    source.add_target(deployment.source_facing_book())
+    deployment.config.classifier.accept_source("portal")
+    return world, user, deployment, source
+
+
+def first(spans, name, **annotations):
+    return next(
+        span for span in spans
+        if span.name == name and all(
+            span.annotations.get(key) == value
+            for key, value in annotations.items()
+        )
+    )
+
+
+def test_happy_path_trace_has_all_hops():
+    world, user, deployment, source = make_rig()
+    alert, _ = source.emit("News", "headline", "body")
+    world.run(until=MINUTE)
+    spans = world.env.tracer.spans(alert.alert_id)
+    emitted = first(spans, "source.deliver")
+    received = first(spans, "receive")
+    ack = next(
+        span for span in spans
+        if span.name == "transit.IM" and span.parent_id == received.span_id
+    )
+    logged = deployment.log.entry_for_alert(alert.alert_id)
+    routed = first(spans, "trip")
+    to_user = first(spans, "transit.IM", recipient=user.im_address)
+    (receipt,) = user.receipts_for(alert.alert_id)
+    # Source, MAB log (written before the ack leaves), MAB, user: in order.
+    assert (emitted.start <= received.start <= logged.received_at
+            <= ack.start <= routed.start <= to_user.start)
+    assert to_user.end == receipt.at
+    assert emitted.outcome == "delivered"
+    assert routed.outcome == "routed"
+    text = render_span_tree(spans, title=alert.alert_id)
+    assert "acked_by=IM" in text
+    assert "deliver.user [delivered]" in text
+
+
+def test_fallback_trace_shows_failed_block():
+    world, user, deployment, source = make_rig()
+    world.run(until=1.0)
+    world.im.outage(10 * MINUTE)
+    alert, _ = source.emit("News", "during outage", "body")
+    world.run(until=30 * MINUTE)
+    spans = world.env.tracer.spans(alert.alert_id)
+    root = first(spans, "source.deliver")
+    deliver = next(span for span in spans if span.parent_id == root.span_id)
+    failed, fallback = [
+        span for span in spans if span.parent_id == deliver.span_id
+    ]
+    assert failed.outcome in ("all_submissions_failed", "ack_timeout")
+    assert fallback.outcome == "success"
+    assert fallback.annotations["index"] == 1
+    assert failed.end <= fallback.start
+    # The email fallback carried the alert to the MAB.
+    email = first(
+        spans, "transit.EM", recipient=deployment.endpoint.email_address
+    )
+    assert email.parent_id == fallback.span_id
+    assert first(spans, "receive").annotations["via"] == "EM"
+    assert root.outcome == "delivered"
+
+
+def test_unknown_alert_has_no_spans():
+    world, user, deployment, source = make_rig()
+    source.emit("News", "h", "b")
+    world.run(until=MINUTE)
+    assert world.env.tracer.spans("no-such-alert") == []
+    assert "no-such-alert" not in world.env.tracer.trace_ids()
+
+
+def test_recovery_report_renders_all_sections():
+    from repro.metrics import recovery_report
+
+    world, user, deployment, source = make_rig()
+    mdc = None
+    # Re-rig with an MDC-driven deployment for the full report.
+    world2 = SimbaWorld(
+        WorldConfig(seed=9, im_latency=IM_FIXED, email_loss=0.0, sms_loss=0.0)
+    )
+    user2 = world2.create_user("alice", present=True)
+    deployment2 = world2.create_buddy(user2)
+    deployment2.register_user_endpoint(user2)
+    deployment2.subscribe("News", user2, "normal", keywords=["News"])
+    mdc = world2.start_mdc(deployment2)
+    source2 = world2.create_source("portal")
+    source2.add_target(deployment2.source_facing_book())
+    deployment2.config.classifier.accept_source("portal")
+
+    def scenario(env):
+        source2.emit("News", "h", "b")
+        yield env.timeout(60.0)
+        deployment2.current.crash()
+
+    world2.env.process(scenario(world2.env))
+    world2.run(until=30 * MINUTE)
+    report = recovery_report(deployment2, mdc=mdc, user=user2)
+    assert "MDC restarts of MAB" in report
+    assert "alerts routed" in report
+    assert "user: unique alerts received" in report
+    assert "pessimistic-log entries" in report
