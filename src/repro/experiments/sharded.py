@@ -20,12 +20,13 @@ the send time and identical in every layout.  Recipients materialize
 lazily on first delivery, which is what lets the logical population reach
 100k–1M while the kernels only carry the ~active slice.
 
-**Single-core caveat.** Shard workers are OS processes; the measured
+**Core-count caveat.** Shard workers are OS processes; the measured
 ``speedup`` column is real parallelism and scales with available cores.
 On a 1-core container every layout time-slices the same CPU, so the
-honest local speedup is ~1× (the committed ``BENCH_A4_SHARD.json``
-baseline records exactly that) — the invariance guarantees are what make
-the multi-core numbers trustworthy wherever they are measured.
+honest local speedup is ~1×; the committed ``BENCH_A4_SHARD.json``
+baseline records the core count it was measured on (2 cores: 1.85× for
+4 shards over 1) — the invariance guarantees are what make the
+multi-core numbers trustworthy wherever they are measured.
 """
 
 from __future__ import annotations

@@ -24,6 +24,7 @@ attribute load, no double dispatch, direct access to the free lists.
 
 from __future__ import annotations
 
+import gc
 from typing import Any, Generator, Iterable, Optional
 
 from repro.errors import SimulationError, StopSimulation
@@ -144,7 +145,28 @@ class Environment:
           set the clock exactly to it.
         - ``until=<Event>``: run until that event is processed and return its
           value (raising its exception if it failed).
+
+        The drain runs under ``gc.freeze()``: every object alive when it
+        starts (tenants, journals, worlds) is out of the cyclic
+        collector's reach until it returns, so the collections the drain
+        triggers scan only what the drain allocates.  ``gc.unfreeze()``
+        hands the heap back on every exit, a raising drain included.  If
+        anything is frozen already (a ``run()`` nested in a drain, or the
+        caller's own ``gc.freeze()``), the drain runs inside that freeze
+        and leaves it alone.  The freeze is safe because a finished
+        process holds no reference cycle (see :mod:`repro.sim.process`):
+        what a drain leaves behind is freed by reference counting, not
+        kept frozen into the next drain.
         """
+        if gc.get_freeze_count():
+            return self._run(until)
+        gc.freeze()
+        try:
+            return self._run(until)
+        finally:
+            gc.unfreeze()
+
+    def _run(self, until: Any) -> Any:
         sched = self._scheduler
         if until is None:
             sched.drain(_INFINITY)

@@ -7,11 +7,21 @@ A :class:`Process` is itself an event that triggers when the generator
 returns (value = the ``StopIteration`` value) or raises.
 
 Resuming processes is the kernel's innermost loop, so this module leans on
-two micro-structures: ``send``/``throw`` are captured once per process
-(``self._send``) instead of being looked up per resume, and the transient
-bookkeeping events (the kick-start event, interrupt triggers, and the
-rearm events used for already-processed targets) come from the
-scheduler's free-list pool via ``env.event()``.
+two micro-structures: ``send``/``throw`` and the bound ``_resume`` used as
+every wait's callback are captured once per process (``_send``,
+``_throw``, ``_wake``) instead of being looked up or rebound per resume,
+and the transient bookkeeping events (the kick-start event, interrupt
+triggers, and the rearm events used for already-processed targets) come
+from the scheduler's free-list pool via ``env.event()``.
+
+``_wake`` points back at its process, so a running process sits in a
+reference cycle.  Both termination branches (return and raise, an
+unhandled :class:`~repro.errors.Interrupt` included) clear the three
+captures, and a failure's stored traceback drops the kernel frame that
+caught it (whose ``self`` would cycle back too).  A finished process is
+therefore freed by reference counting as soon as nothing holds it; the
+cyclic collector never sees it.  ``Environment.run`` relies on this when
+it freezes the heap for a drain (see :mod:`repro.sim.kernel`).
 """
 
 from __future__ import annotations
@@ -28,7 +38,10 @@ if TYPE_CHECKING:  # pragma: no cover
 class Process(Event):
     """A running simulation process (and the event of its termination)."""
 
-    __slots__ = ("name", "_generator", "_waiting_on", "_send", "_throw", "_wake")
+    __slots__ = (
+        "name", "_generator", "_waiting_on", "_send", "_throw", "_wake",
+        "__weakref__",  # lets a test watch a finished process get freed
+    )
 
     def __init__(
         self,
@@ -116,12 +129,16 @@ class Process(Event):
                 target = self._throw(event._value)
         except StopIteration as stop:
             env._active_process = None
+            self._wake = self._send = self._throw = None
             self.succeed(stop.value)
             return
         except BaseException as exc:
             env._active_process = None
+            self._wake = self._send = self._throw = None
             self._ok = False
-            self._value = exc
+            # Drop this frame (``self`` is one of its locals) from the
+            # stored traceback, or the failure would cycle back here.
+            self._value = exc.with_traceback(exc.__traceback__.tb_next)
             env.schedule(self)
             return
         env._active_process = None
@@ -154,12 +171,16 @@ class Process(Event):
                 target = self._throw(value)
         except StopIteration as stop:
             env._active_process = None
+            self._wake = self._send = self._throw = None
             self.succeed(stop.value)
             return
         except BaseException as exc:
             env._active_process = None
+            self._wake = self._send = self._throw = None
             self._ok = False
-            self._value = exc
+            # Drop this frame (``self`` is one of its locals) from the
+            # stored traceback, or the failure would cycle back here.
+            self._value = exc.with_traceback(exc.__traceback__.tb_next)
             env.schedule(self)
             return
         env._active_process = None

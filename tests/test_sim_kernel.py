@@ -1,9 +1,12 @@
 """Unit tests for the discrete-event kernel (Environment, Event, Process)."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.errors import EventAlreadyTriggered, Interrupt, SimulationError
-from repro.sim import Environment
+from repro.sim import Environment, Event
 
 
 def test_clock_starts_at_zero():
@@ -698,3 +701,85 @@ def test_determinism_unaffected_by_cancellations():
         return trace
 
     assert build_and_run(True) == build_and_run(False)
+
+
+# ---------------------------------------------------------------------------
+# Memory: finished processes free by refcount, drains freeze the prior heap
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def gc_off():
+    """Automatic collection off: whatever dies here died by refcount."""
+    enabled = gc.isenabled()
+    gc.disable()
+    yield
+    if enabled:
+        gc.enable()
+
+
+@pytest.mark.parametrize("ending", ["returns", "raises", "interrupted"])
+def test_finished_process_is_freed_by_refcount(gc_off, ending):
+    env = Environment()
+
+    def body():
+        yield env.timeout(1.0)
+        if ending == "raises":
+            raise ValueError("boom")
+        if ending == "interrupted":
+            yield env.timeout(100.0)
+
+    proc = env.process(body())
+    proc.callbacks.append(Event.defuse)  # a failure must not crash the run
+    ref = weakref.ref(proc)
+    if ending == "interrupted":
+        env.run(until=2.0)
+        proc.interrupt("stop")
+    del proc
+    env.run()
+    assert ref() is None
+
+
+def test_run_unfreezes_on_every_exit(gc_off):
+    assert gc.get_freeze_count() == 0
+    env = Environment()
+    frozen_inside = []
+
+    def probe():
+        yield env.timeout(1.0)
+        frozen_inside.append(gc.get_freeze_count())
+
+    env.process(probe())
+    env.run(until=2.0)
+    assert frozen_inside[0] > 0
+    assert gc.get_freeze_count() == 0
+
+    assert env.run(until=env.timeout(1.0, value="done")) == "done"
+    assert gc.get_freeze_count() == 0
+
+    def crash():
+        yield env.timeout(1.0)
+        raise ValueError("drain raises")
+
+    env.process(crash())
+    with pytest.raises(ValueError, match="drain raises"):
+        env.run()
+    assert gc.get_freeze_count() == 0
+
+
+def test_run_keeps_a_callers_freeze(gc_off):
+    env = Environment()
+
+    def ticks():
+        for _ in range(5):
+            yield env.timeout(1.0)
+
+    env.process(ticks())
+    gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        env.run(until=10.0)
+        # Still frozen, and the drain froze nothing of its own.
+        assert 0 < gc.get_freeze_count() <= frozen
+    finally:
+        gc.unfreeze()
